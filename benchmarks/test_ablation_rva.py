@@ -12,8 +12,7 @@ import struct
 
 import pytest
 
-from repro.core.rva import (ADJUSTERS, adjust_rva_faithful,
-                            adjust_rva_robust, adjust_rva_vectorized)
+from repro.core.rva import ADJUSTERS, adjust_rva_faithful
 from repro.rng import make_rng
 
 BASE1, BASE2 = 0xF7010000, 0xF70B5000
@@ -48,21 +47,6 @@ def test_adjuster_wall_clock(benchmark, mode):
     assert adj1 == adj2 == canonical
     assert stats.replaced == N_SLOTS
     assert stats.unresolved == 0
-
-
-def test_vectorized_not_slower_than_robust():
-    """The numpy diff scan must pay off on driver-scale sections."""
-    import time
-    _, c1, c2 = PAIR
-
-    def clock(fn):
-        t0 = time.perf_counter()
-        fn(c1, BASE1, c2, BASE2)
-        return time.perf_counter() - t0
-
-    t_robust = min(clock(adjust_rva_robust) for _ in range(3))
-    t_vec = min(clock(adjust_rva_vectorized) for _ in range(3))
-    assert t_vec < t_robust
 
 
 def test_all_variants_equivalent_on_driver_pair():

@@ -140,7 +140,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     add_repair(p_check)
     p_check.add_argument("--module", default="hal.dll")
     p_check.add_argument("--rva-mode", default="robust",
-                         choices=["faithful", "robust", "vectorized"])
+                         choices=["faithful", "robust"])
     p_check.add_argument("--hash", default="md5",
                          choices=["md5", "sha1", "sha256"])
     p_check.add_argument("--pool-mode", default="pairwise",

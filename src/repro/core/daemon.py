@@ -458,10 +458,8 @@ class CheckDaemon:
         walked = False
         for vm in vms:
             try:
-                vmi = self.checker.vmi_for(vm)
-                if self.checker.flush_caches_each_round:
-                    vmi.flush_caches()
-                entries = ModuleSearcher(vmi).list_modules()
+                entries = ModuleSearcher(
+                    self.checker.vmi_for_round(vm)).list_modules()
             except (TransientFault, RetryExhausted):
                 continue
             walked = True
@@ -661,9 +659,7 @@ class CheckDaemon:
         clock = self.checker.hv.clock
         target = active[self.cycles_run % len(active)]
         try:
-            vmi = self.checker.vmi_for(target)
-            if self.checker.flush_caches_each_round:
-                vmi.flush_caches()
+            vmi = self.checker.vmi_for_round(target)
             view = cross_view(vmi)
             identified = self.checker.identify_carved_modules(
                 target, view.carved_only)

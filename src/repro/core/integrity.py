@@ -112,13 +112,17 @@ class IntegrityChecker:
         mismatched.sort(key=lambda n: order.index(n) if n in order else 999)
         pair = PairComparison(mod_a.vm_name, mod_b.vm_name,
                               tuple(mismatched), rva_stats)
+        self.announce(mod_a.module_name, pair)
+        return pair
+
+    def announce(self, module_name: str, pair: PairComparison) -> None:
+        """Emit the ``pair.compared`` audit event for one comparison."""
         events = self.obs.events
         if events.enabled:
-            events.emit("pair.compared", module=mod_a.module_name,
+            events.emit("pair.compared", module=module_name,
                         vm_a=pair.vm_a, vm_b=pair.vm_b,
                         matched=pair.matched,
                         mismatched=list(pair.mismatched_regions))
-        return pair
 
     # -- voting ----------------------------------------------------------------------
 
@@ -236,13 +240,7 @@ class IntegrityChecker:
                 if dict(a).get(k) != dict(b).get(k)))
             pair = PairComparison(reference.vm_name, mod.vm_name, mism)
             pairs.append(pair)
-            events = self.obs.events
-            if events.enabled:
-                events.emit("pair.compared",
-                            module=reference.module_name,
-                            vm_a=pair.vm_a, vm_b=pair.vm_b,
-                            matched=pair.matched,
-                            mismatched=list(pair.mismatched_regions))
+            self.announce(reference.module_name, pair)
         return PoolReport(module_name=reference.module_name,
                           vm_names=names, pairs=pairs, verdicts=verdicts)
 
@@ -258,9 +256,10 @@ class IntegrityChecker:
              pairs: list[PairComparison]) -> PoolReport:
         """Majority-vote already-computed pair comparisons into a report.
 
-        Split from :meth:`check_pool` so callers that schedule the
-        pairwise comparisons themselves (the parallel checker) can
-        reuse the exact voting semantics.
+        Split from :meth:`check_pool` so callers that produce the
+        pairwise comparisons themselves (ModChecker's compare phase,
+        which replays and schedules them) reuse the exact voting
+        semantics.
         """
         names = [m.vm_name for m in modules]
         match_count = {name: 0 for name in names}

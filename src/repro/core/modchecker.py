@@ -10,15 +10,17 @@ pool of guests through VMI, then either
   majority-vote each one (the detection experiments E1–E4), or
 * :meth:`check_all_modules` — sweep the whole loaded-module list.
 
-Component timings are taken from the simulated clock around each phase,
+Component timings come from the Dom0 scheduling policy (the simulated
+clock around each phase, or a makespan of the phase's work items),
 yielding the Searcher/Parser/Checker breakdown the paper plots.
 """
 
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from ..errors import (DomainNotFound, InsufficientPool, IntrospectionFault,
                       ModuleNotLoadedError, RetryExhausted, TransientFault,
@@ -121,6 +123,71 @@ class _Protection:
 
 
 @dataclass
+class _Work:
+    """The Dom0 work of one check, cut into schedulable items: per-VM
+    searcher and parser costs (one chain per VM), one cost per compared
+    pair (or per canonical pass), and the compare phase's total."""
+
+    searcher: dict[str, float] = field(default_factory=dict)
+    parser: dict[str, float] = field(default_factory=dict)
+    pairs: list[float] = field(default_factory=list)
+    compare: float = 0.0
+    timings: ComponentTimings = field(default_factory=ComponentTimings)
+
+
+class _Sequential:
+    """One Dom0 thread: every charge advances the clock as it happens
+    (the default, and the paper's Figs. 7–9); settling only adds up."""
+
+    def __init__(self, hypervisor: Hypervisor, threads: int = 1) -> None:
+        self.hv = hypervisor
+        self.threads = threads
+
+    @contextmanager
+    def phase(self) -> Iterator[Callable[[], float]]:
+        clock = self.hv.clock
+        yield lambda: clock.now
+
+    def settle(self, work: _Work) -> ComponentTimings:
+        return ComponentTimings(searcher=sum(work.searcher.values(), 0.0),
+                                parser=sum(work.parser.values(), 0.0),
+                                checker=work.compare)
+
+
+class _Makespan(_Sequential):
+    """``threads`` concurrent Dom0 workers (the paper's §V-C-1).
+
+    Phases run with charges deferred. Settling packs the work items
+    onto the workers (LPT :func:`~repro.core.parallel.makespan`),
+    stretches them by the contention of ``threads`` busy Dom0 vCPUs,
+    and advances the clock once; the fetch wall time is split by each
+    component's share of the fetch CPU work.
+    """
+
+    @contextmanager
+    def phase(self) -> Iterator[Callable[[], float]]:
+        with self.hv.deferred_charges() as acc:
+            yield lambda: acc.total
+
+    def settle(self, work: _Work) -> ComponentTimings:
+        # Imported here: the parallel module subclasses ModChecker.
+        from .parallel import makespan
+        factor = self.hv.scheduler.dom0_slowdown(self.hv.guest_demand(),
+                                                 dom0_threads=self.threads)
+        fetch_items = [cpu + work.parser.get(vm, 0.0)
+                       for vm, cpu in work.searcher.items()]
+        fetch_wall = makespan(fetch_items, self.threads) * factor
+        check_wall = makespan(work.pairs, self.threads) * factor
+        self.hv.clock.advance(fetch_wall + check_wall)
+        s_cpu = sum(work.searcher.values())
+        p_cpu = sum(work.parser.values())
+        share = s_cpu / (s_cpu + p_cpu) if s_cpu + p_cpu else 1.0
+        return ComponentTimings(searcher=fetch_wall * share,
+                                parser=fetch_wall * (1.0 - share),
+                                checker=check_wall)
+
+
+@dataclass
 class CheckOutcome:
     """A single-target check plus its component timing breakdown."""
 
@@ -205,6 +272,12 @@ class ModChecker:
         self.profile = profile
         self.costs = cost_model
         self.enable_caches = enable_caches
+        #: start every VM's acquisition with cold VMI caches. Without it
+        #: the caches stay warm across rounds, and unless incremental or
+        #: event-driven mode is on (whose sweeps and traps see content
+        #: drift and evict the module's frames), a warm page cache
+        #: cannot see guest writes: that is the trade the A2
+        #: "warm caches" arm measures
         self.flush_caches_each_round = flush_caches_each_round
         self.retry = retry
         self.obs = obs
@@ -245,6 +318,11 @@ class ModChecker:
         #: cumulative VMI metrics survive re-attach (reboot churn)
         #: without ever running backwards
         self._vmi_stats_base: dict[str, "VMIStats"] = {}
+        #: how Dom0 work reaches the clock; ParallelModChecker swaps in
+        #: the makespan policy, and nothing else in the path differs
+        self._schedule = _Sequential(hypervisor)
+        #: the open scheduling scope, if a check is running
+        self._work: _Work | None = None
         self.parser = ModuleParser(cost_model=cost_model,
                                    charge=self._charge, obs=obs)
         self.checker = IntegrityChecker(rva_mode=rva_mode,
@@ -298,6 +376,14 @@ class ModChecker:
                               retry=self.retry, batch=self.batch,
                               obs=self.obs)
             self._vmis[vm_name] = vmi
+        return vmi
+
+    def vmi_for_round(self, vm_name: str) -> VMIInstance:
+        """The session for a new round of reads, with cold caches when
+        ``flush_caches_each_round`` asks for them."""
+        vmi = self.vmi_for(vm_name)
+        if self.flush_caches_each_round:
+            vmi.flush_caches()
         return vmi
 
     def _vmi_stale(self, vm_name: str, vmi: VMIInstance) -> bool:
@@ -413,7 +499,6 @@ class ModChecker:
     def _sweep_matches(self, vmi: VMIInstance, module_name: str,
                        manifest: CheckManifest) -> bool:
         """Gate 3: the full per-page checksum sweep."""
-        vm_name = vmi.domain.name
         try:
             digests = vmi.checksum_va_range(manifest.base, manifest.size)
         except (TransientFault, RetryExhausted):
@@ -422,14 +507,20 @@ class ModChecker:
             # a page of the recorded range no longer translates — a
             # content change as far as the manifest is concerned; fall
             # back to the full walk, which sees the current truth
-            self.invalidate_manifests(vm_name, module_name,
-                                      reason="page-delta")
-            return False
+            digests = None
         if digests != manifest.page_digests:
-            self.invalidate_manifests(vm_name, module_name,
-                                      reason="page-delta")
+            self._page_delta(vmi, module_name, manifest)
             return False
         return True
+
+    def _page_delta(self, vmi: VMIInstance, module_name: str,
+                    manifest: CheckManifest) -> None:
+        """The module's content drifted: drop its manifest, and its
+        frames from a warm page cache, so the full walk that follows
+        reads the guest's current bytes (LDR pages stay cached)."""
+        self.invalidate_manifests(vmi.domain.name, module_name,
+                                  reason="page-delta")
+        vmi.evict_va_range(manifest.base, manifest.size)
 
     def _manifest_hit(self, vmi: VMIInstance, module_name: str,
                       manifest: CheckManifest, *,
@@ -523,14 +614,12 @@ class ModChecker:
             except (TransientFault, RetryExhausted):
                 raise   # sick VM: the caller degrades it
             except IntrospectionFault:
-                self.invalidate_manifests(vm_name, module_name,
-                                          reason="page-delta")
+                digests = None
+            if digests is None or any(
+                    digest != manifest.page_digests[idx]
+                    for idx, digest in digests.items()):
+                self._page_delta(vmi, module_name, manifest)
                 return None
-            for idx, digest in digests.items():
-                if digest != manifest.page_digests[idx]:
-                    self.invalidate_manifests(vm_name, module_name,
-                                              reason="page-delta")
-                    return None
             checked = len(digests)
             self.trap_pages_checked += checked
             rec.dirty_pages.clear()
@@ -722,25 +811,18 @@ class ModChecker:
         """
         meta_a = self._acq_meta.get(mod_a.vm_name)
         meta_b = self._acq_meta.get(mod_b.vm_name)
-        if meta_a is not None and meta_b is not None:
-            key = (mod_a.module_name, mod_a.vm_name, mod_b.vm_name)
-            cached = self._pair_cache.peek(key)
-            if (cached is not None and cached[0] == meta_a.content_key
-                    and cached[1] == meta_b.content_key):
-                pair = cached[2]
-                self.pair_replays += 1
-                events = self.obs.events
-                if events.enabled:
-                    events.emit("pair.compared", module=mod_a.module_name,
-                                vm_a=pair.vm_a, vm_b=pair.vm_b,
-                                matched=pair.matched,
-                                mismatched=list(pair.mismatched_regions))
-                return pair
+        if meta_a is None or meta_b is None:
+            # no content keys (full mode): nothing to replay against
+            return self.checker.compare_pair(mod_a, mod_b)
+        keys = (meta_a.content_key, meta_b.content_key)
+        slot = (mod_a.module_name, mod_a.vm_name, mod_b.vm_name)
+        cached = self._pair_cache.peek(slot)
+        if cached is not None and cached[:2] == keys:
+            self.pair_replays += 1
+            self.checker.announce(mod_a.module_name, cached[2])
+            return cached[2]
         pair = self.checker.compare_pair(mod_a, mod_b)
-        if meta_a is not None and meta_b is not None:
-            self._pair_cache.put(
-                (mod_a.module_name, mod_a.vm_name, mod_b.vm_name),
-                (meta_a.content_key, meta_b.content_key, pair))
+        self._pair_cache.put(slot, (*keys, pair))
         return pair
 
     def _update_manifests(self, module_name: str,
@@ -799,9 +881,7 @@ class ModChecker:
         where the daemon routes it to the circuit breaker — rather than
         poisoning a sweep. Returns the module names seen.
         """
-        vmi = self.vmi_for(vm_name)
-        if self.flush_caches_each_round:
-            vmi.flush_caches()
+        vmi = self.vmi_for_round(vm_name)
         return [e.name for e in ModuleSearcher(vmi).list_modules()]
 
     # -- observability ---------------------------------------------------------
@@ -853,6 +933,49 @@ class ModChecker:
             return list(self.members())
         return [d.name for d in self.hv.guests()]
 
+    # -- scheduling --------------------------------------------------------------
+
+    @contextmanager
+    def _scheduled(self) -> Iterator[_Work]:
+        """Open (or join) the scheduling scope of one check. Its phases
+        record their work in one :class:`_Work`, which the outermost
+        scope settles on exit into ``work.timings``, also when the
+        check raises (the work was done)."""
+        if self._work is not None:
+            yield self._work
+            return
+        work = self._work = _Work()
+        try:
+            yield work
+        finally:
+            self._work = None
+            work.timings = self._schedule.settle(work)
+
+    @contextmanager
+    def _compare_phase(self, work: _Work, module_name: str, pairs: int):
+        """The ``checker.compare`` phase. Yields ``item(fn, *args)``,
+        which runs one schedulable unit of compare work and records
+        its cost."""
+        with self.obs.tracer.span("checker.compare", module=module_name,
+                                  pairs=pairs), \
+             self._schedule.phase() as now:
+            def item(fn, *args):
+                before = now()
+                result = fn(*args)
+                work.pairs.append(now() - before)
+                return result
+            start = now()
+            yield item
+            work.compare = now() - start
+
+    def _check_attrs(self, mode: str) -> dict:
+        """Trace attributes naming the mode of a ``modchecker.check``."""
+        return {"mode": mode}
+
+    def _finish(self, outcome, work: _Work):
+        """Hook for subclasses to annotate a finished check's outcome."""
+        return outcome
+
     # -- acquisition phase -------------------------------------------------------------
 
     def fetch_modules(self, module_name: str, vm_names: list[str],
@@ -864,10 +987,9 @@ class ModChecker:
         time spent *discovering* that is still accounted: the walk was
         charged to the Dom0 clock either way. VMs whose reads keep
         failing after the retry budget land in ``failed`` instead of
-        aborting the sweep.
+        aborting the sweep. Inside a check, the fetch joins the check's
+        scheduling scope and its timings settle with the check's.
         """
-        timings = ComponentTimings()
-        per_vm: dict[str, float] = {}
         failed: dict[str, str] = {}
         parsed: list[ParsedModule] = []
         events = self.obs.events
@@ -877,39 +999,38 @@ class ModChecker:
                 events.emit("module.acquired", module=module_name,
                             vm=vm_name, outcome=outcome)
 
-        with self.obs.tracer.span("modchecker.fetch", module=module_name,
-                                  vms=len(vm_names)) as fetch_span:
+        with self._scheduled() as work, \
+             self.obs.tracer.span("modchecker.fetch", module=module_name,
+                                  vms=len(vm_names)) as fetch_span, \
+             self._schedule.phase() as now:
             self._acq_meta = {}
             for vm_name in vm_names:
                 try:
-                    vmi = self.vmi_for(vm_name)
+                    vmi = self.vmi_for_round(vm_name)
                 except VMIInitError as exc:
                     # The domain vanished between membership reconcile
                     # and this sweep (destroy races the check cycle).
                     failed[vm_name] = f"unreachable: {exc}"
-                    per_vm[vm_name] = 0.0
+                    work.searcher[vm_name] = 0.0
                     acquired(vm_name, "unreachable")
                     continue
-                if self.flush_caches_each_round:
-                    vmi.flush_caches()
                 searcher = ModuleSearcher(vmi)
                 copy = None
                 cached = None
-                with self.hv.clock.span() as span:
-                    try:
-                        if self.incremental:
-                            cached = self._try_manifest(vmi, searcher,
-                                                        module_name)
-                        if cached is None:
-                            copy = searcher.copy_module(module_name)
-                    except ModuleNotLoadedError:
-                        pass
-                    except (TransientFault, RetryExhausted) as exc:
-                        failed[vm_name] = f"retry-exhausted: {exc}"
-                    except IntrospectionFault as exc:
-                        failed[vm_name] = f"unreadable: {exc}"
-                timings.searcher += span.elapsed
-                per_vm[vm_name] = span.elapsed
+                start = now()
+                try:
+                    if self.incremental:
+                        cached = self._try_manifest(vmi, searcher,
+                                                    module_name)
+                    if cached is None:
+                        copy = searcher.copy_module(module_name)
+                except ModuleNotLoadedError:
+                    pass
+                except (TransientFault, RetryExhausted) as exc:
+                    failed[vm_name] = f"retry-exhausted: {exc}"
+                except IntrospectionFault as exc:
+                    failed[vm_name] = f"unreadable: {exc}"
+                work.searcher[vm_name] = now() - start
                 if cached is not None:
                     # manifest hit: the stored ParsedModule re-enters the
                     # vote directly; no copy, no parse
@@ -920,15 +1041,15 @@ class ModChecker:
                     acquired(vm_name, failed.get(vm_name, "not-loaded")
                              .split(":", 1)[0])
                     continue
-                with self.hv.clock.span() as span:
-                    parsed_mod = self.parser.parse(copy)
-                    if self.incremental:
-                        self._note_acquisition(vmi, copy, parsed_mod)
-                    parsed.append(parsed_mod)
-                timings.parser += span.elapsed
+                start = now()
+                parsed_mod = self.parser.parse(copy)
+                if self.incremental:
+                    self._note_acquisition(vmi, copy, parsed_mod)
+                parsed.append(parsed_mod)
+                work.parser[vm_name] = now() - start
                 acquired(vm_name, "ok")
             fetch_span.set(acquired=len(parsed), failed=len(failed))
-        return FetchResult(parsed, timings, per_vm, failed)
+        return FetchResult(parsed, work.timings, work.searcher, failed)
 
     # -- checking modes -------------------------------------------------------------
 
@@ -942,46 +1063,52 @@ class ModChecker:
         cid = events.current_check or events.new_check_id()
         with events.correlate(cid), \
              self.obs.tracer.span("modchecker.check", module=module_name,
-                                  mode="target", target=target_vm):
+                                  **self._check_attrs("target"),
+                                  target=target_vm):
             if events.enabled:
                 events.emit("check.start", module=module_name,
                             mode="target", target=target_vm,
                             vms=len(names))
-            parsed, timings, per_vm, failed = self.fetch_modules(module_name,
-                                                                names)
-            by_vm = {p.vm_name: p for p in parsed}
-            if target_vm in failed:
-                raise RetryExhausted(
-                    f"cannot acquire {module_name!r} from target {target_vm}: "
-                    f"{failed[target_vm]}")
-            if target_vm not in by_vm:
-                raise ModuleNotLoadedError(
-                    f"{module_name!r} not loaded on target {target_vm}")
-            others = [p for p in parsed if p.vm_name != target_vm]
-            if not others:
-                raise InsufficientPool(
-                    f"no other VM exposes {module_name!r} for comparison")
-            with self.obs.tracer.span("checker.compare", module=module_name,
-                                      pairs=len(others)):
-                with self.hv.clock.span() as span:
-                    report = self.checker.check_target(by_vm[target_vm],
-                                                       others)
-            timings.checker = span.elapsed
+            with self._scheduled() as work:
+                parsed, _, per_vm, failed = self.fetch_modules(module_name,
+                                                               names)
+                by_vm = {p.vm_name: p for p in parsed}
+                if target_vm in failed:
+                    raise RetryExhausted(
+                        f"cannot acquire {module_name!r} from target "
+                        f"{target_vm}: {failed[target_vm]}")
+                if target_vm not in by_vm:
+                    raise ModuleNotLoadedError(
+                        f"{module_name!r} not loaded on target {target_vm}")
+                others = [p for p in parsed if p.vm_name != target_vm]
+                if not others:
+                    raise InsufficientPool(
+                        f"no other VM exposes {module_name!r} for comparison")
+                with self._compare_phase(work, module_name,
+                                         len(others)) as item:
+                    pairs = tuple(item(self._compare_or_replay,
+                                       by_vm[target_vm], other)
+                                  for other in others)
+            report = VMCheckReport(
+                module_name=module_name, target_vm=target_vm, pairs=pairs,
+                matches=sum(1 for p in pairs if p.matched),
+                comparisons=len(pairs))
             if events.enabled:
                 events.emit("check.verdict", module=module_name,
                             mode="target", target=target_vm,
                             clean=report.clean, matches=report.matches,
                             comparisons=report.comparisons)
-        self._record_outcome(module_name, timings)
-        return CheckOutcome(report=report, timings=timings,
-                            per_vm_searcher=per_vm)
+        self._record_outcome(module_name, work.timings)
+        return self._finish(CheckOutcome(report=report, timings=work.timings,
+                                         per_vm_searcher=per_vm), work)
 
     def check_pool(self, module_name: str,
                    vms: list[str] | None = None, *,
                    mode: str = "pairwise") -> PoolOutcome:
         """Cross-check the module on every VM (detection experiments).
 
-        ``mode="pairwise"`` is the paper's O(t²) all-pairs vote;
+        ``mode="pairwise"`` is the paper's O(t²) all-pairs vote, each
+        pair replayed from cache when its content keys allow;
         ``mode="canonical"`` is the O(t) clustering variant
         (:meth:`IntegrityChecker.check_pool_canonical`).
 
@@ -998,36 +1125,33 @@ class ModChecker:
         cid = events.current_check or events.new_check_id()
         with events.correlate(cid), \
              self.obs.tracer.span("modchecker.check", module=module_name,
-                                  mode=mode):
+                                  **self._check_attrs(mode)):
             if events.enabled:
                 events.emit("check.start", module=module_name, mode=mode,
                             vms=len(names))
-            parsed, timings, per_vm, failed = self.fetch_modules(module_name,
-                                                                names)
-            if len(parsed) < 2:
-                degraded_note = (f" ({len(failed)} degraded: "
-                                 f"{', '.join(sorted(failed))})"
-                                 if failed else "")
-                raise InsufficientPool(
-                    f"{module_name!r} present on {len(parsed)} VM(s); "
-                    f"need at least 2{degraded_note}")
-            n_pairs = (len(parsed) - 1 if mode == "canonical"
-                       else len(parsed) * (len(parsed) - 1) // 2)
-            with self.obs.tracer.span("checker.compare", module=module_name,
-                                      pairs=n_pairs):
-                with self.hv.clock.span() as span:
+            with self._scheduled() as work:
+                parsed, _, per_vm, failed = self.fetch_modules(module_name,
+                                                               names)
+                if len(parsed) < 2:
+                    degraded_note = (f" ({len(failed)} degraded: "
+                                     f"{', '.join(sorted(failed))})"
+                                     if failed else "")
+                    raise InsufficientPool(
+                        f"{module_name!r} present on {len(parsed)} VM(s); "
+                        f"need at least 2{degraded_note}")
+                n_pairs = (len(parsed) - 1 if mode == "canonical"
+                           else len(parsed) * (len(parsed) - 1) // 2)
+                with self._compare_phase(work, module_name,
+                                         n_pairs) as item:
                     if mode == "canonical":
-                        report = self.checker.check_pool_canonical(parsed)
-                    elif self.incremental:
-                        pairs = []
-                        for i, mod_a in enumerate(parsed):
-                            for mod_b in parsed[i + 1:]:
-                                pairs.append(
-                                    self._compare_or_replay(mod_a, mod_b))
-                        report = self.checker.vote(parsed, pairs)
+                        # one pass against one reference: a single item
+                        report = item(self.checker.check_pool_canonical,
+                                      parsed)
                     else:
-                        report = self.checker.check_pool(parsed)
-            timings.checker = span.elapsed
+                        pairs = [item(self._compare_or_replay, mod_a, mod_b)
+                                 for i, mod_a in enumerate(parsed)
+                                 for mod_b in parsed[i + 1:]]
+                        report = self.checker.vote(parsed, pairs)
             report.degraded = dict(failed)
             if self.incremental:
                 self._update_manifests(module_name, report)
@@ -1063,10 +1187,10 @@ class ModChecker:
                 if captured is not None and remediations:
                     self.evidence.attach_remediations(captured,
                                                       remediations)
-        self._record_outcome(module_name, timings, report)
-        return PoolOutcome(report=report, timings=timings,
-                           per_vm_searcher=per_vm,
-                           remediations=remediations)
+        self._record_outcome(module_name, work.timings, report)
+        return self._finish(PoolOutcome(report=report, timings=work.timings,
+                                        per_vm_searcher=per_vm,
+                                        remediations=remediations), work)
 
     # -- carving extension (defeats DKOM hiding) ------------------------------------
 
@@ -1081,9 +1205,7 @@ class ModChecker:
         against the modules a reference clone lists.
         """
         from .carver import ModuleCarver
-        vmi = self.vmi_for(vm_name)
-        if self.flush_caches_each_round:
-            vmi.flush_caches()
+        vmi = self.vmi_for_round(vm_name)
         searcher = ModuleSearcher(vmi)
         listed = {e.dll_base for e in searcher.list_modules()}
         hidden = ModuleCarver(vmi).find_hidden(listed)
@@ -1108,7 +1230,6 @@ class ModChecker:
             (n for n in self.pool_vm_names() if n != vm_name), None)
         named: dict[str, bytes] = {}
         if ref is not None:
-            from ..errors import IntrospectionFault
             ref_searcher = ModuleSearcher(self.vmi_for(ref))
             for entry in ref_searcher.list_modules():
                 try:

@@ -2,38 +2,23 @@
 
 §V-C-1: "The modular design of ModChecker can support parallel access
 of virtual machines' memory which would considerably enhance the
-runtime performance." This module implements that: the per-VM
-Searcher/Parser work is gathered with the hypervisor clock *deferred*,
-then the clock is advanced once with a makespan model —
-
-* the per-VM work items are packed onto ``threads`` Dom0 workers with a
-  longest-processing-time greedy (the classic multiprocessor-schedule
-  bound);
-* each worker is stretched by the contention factor for ``threads``
-  busy Dom0 vCPUs, so the speedup saturates once Dom0 threads + guest
-  load exceed the physical CPUs — parallelism is *not* free on a
-  saturated host, which the A1 ablation bench demonstrates.
-
-All three checking modes parallelise: :meth:`check_on_vm` (t-1 fetches,
-t-1 comparisons), :meth:`check_pool` (t fetches, t·(t-1)/2 pairwise
-comparisons — the comparisons are independent, so the O(t²) vote is
-where parallelism pays most), and :meth:`check_all_modules` (inherited;
-every per-module pool check runs through the parallel path). Component
-wall time is attributed by each phase's share of CPU work, so the
-Fig. 7/8-style breakdowns keep a truthful Parser series rather than
-folding it into Searcher.
+runtime performance." :class:`ParallelModChecker` models that as a
+scheduling policy of :class:`~repro.core.modchecker.ModChecker`'s own
+fetch → compare → vote path, not as a second copy of it: the work
+items of each check are packed onto ``threads`` Dom0 workers with a
+longest-processing-time greedy (:func:`makespan`), stretched by the
+contention of ``threads`` busy Dom0 vCPUs. Parallelism is therefore
+*not* free on a saturated host, which the A1 ablation bench shows.
+Verdicts, degradation, audit events, evidence and repair are the
+sequential checker's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import (InsufficientPool, IntrospectionFault,
-                      ModuleNotLoadedError, RetryExhausted, TransientFault)
 from ..perf.timing import ComponentTimings
-from .modchecker import CheckOutcome, ModChecker, PoolOutcome
-from .report import VMCheckReport
-from .searcher import ModuleSearcher
+from .modchecker import ModChecker, _Makespan
 
 __all__ = ["ParallelModChecker", "makespan"]
 
@@ -64,224 +49,27 @@ class ParallelTimings:
 
 
 class ParallelModChecker(ModChecker):
-    """ModChecker with ``threads``-way concurrent guest access."""
+    """ModChecker with ``threads``-way concurrent guest access.
+
+    Every check outcome carries ``.parallel``, a :class:`ParallelTimings`
+    of CPU work against wall time.
+    """
 
     def __init__(self, hypervisor, profile=None, *, threads: int = 4,
                  **kwargs) -> None:
-        super().__init__(hypervisor, profile, **kwargs)
         if threads < 1:
             raise ValueError("threads must be >= 1")
+        super().__init__(hypervisor, profile, **kwargs)
         self.threads = threads
+        self._schedule = _Makespan(self.hv, threads)
 
-    # -- shared phases --------------------------------------------------------
+    def _check_attrs(self, mode: str) -> dict:
+        return {"mode": f"parallel-{mode}", "threads": self.threads}
 
-    def _parallel_fetch(self, module_name: str, names: list[str],
-                        ) -> tuple[list, dict[str, float], dict[str, float],
-                                   dict[str, str]]:
-        """Fetch+parse each VM with charges deferred.
-
-        Returns ``(parsed, searcher_work, parser_work, failed)`` where
-        the work dicts hold per-VM CPU seconds, cut at the
-        searcher/parser boundary so each component's share of the
-        makespan can be attributed truthfully.
-        """
-        searcher_work: dict[str, float] = {}
-        parser_work: dict[str, float] = {}
-        failed: dict[str, str] = {}
-        parsed = []
-        with self.hv.deferred_charges() as acc:
-            self._acq_meta = {}
-            for vm_name in names:
-                vmi = self.vmi_for(vm_name)
-                if self.flush_caches_each_round:
-                    vmi.flush_caches()
-                searcher = ModuleSearcher(vmi)
-                before = acc.total
-                cached = None
-                copy = None
-                try:
-                    if self.incremental:
-                        cached = self._try_manifest(vmi, searcher,
-                                                    module_name)
-                    if cached is None:
-                        copy = searcher.copy_module(module_name)
-                except ModuleNotLoadedError:
-                    searcher_work[vm_name] = acc.total - before
-                    continue
-                except (TransientFault, RetryExhausted) as exc:
-                    searcher_work[vm_name] = acc.total - before
-                    failed[vm_name] = f"retry-exhausted: {exc}"
-                    continue
-                except IntrospectionFault as exc:
-                    searcher_work[vm_name] = acc.total - before
-                    failed[vm_name] = f"unreadable: {exc}"
-                    continue
-                searcher_work[vm_name] = acc.total - before
-                if cached is not None:
-                    # manifest hit: no parse item lands on this VM's
-                    # worker chain this round
-                    parsed.append(cached)
-                    continue
-                before = acc.total
-                parsed_mod = self.parser.parse(copy)
-                if self.incremental:
-                    self._note_acquisition(vmi, copy, parsed_mod)
-                parsed.append(parsed_mod)
-                parser_work[vm_name] = acc.total - before
-        return parsed, searcher_work, parser_work, failed
-
-    def _compare_deferred(self, pair_jobs) -> tuple[list, list[float]]:
-        """Run ``compare_pair`` jobs with per-pair work-item cuts.
-
-        In incremental mode each job goes through
-        :meth:`ModChecker._compare_or_replay`; a replayed pair charges
-        nothing, so its work item is 0.0 and it never lengthens any
-        worker's chain in the makespan.
-        """
-        pairs = []
-        pair_work: list[float] = []
-        with self.hv.deferred_charges() as acc:
-            for mod_a, mod_b in pair_jobs:
-                before = acc.total
-                if self.incremental:
-                    pairs.append(self._compare_or_replay(mod_a, mod_b))
-                else:
-                    pairs.append(self.checker.compare_pair(mod_a, mod_b))
-                pair_work.append(acc.total - before)
-        return pairs, pair_work
-
-    def _advance_makespan(self, searcher_work: dict[str, float],
-                          parser_work: dict[str, float],
-                          pair_work: list[float]) -> ComponentTimings:
-        """Advance the clock once; return the wall-time breakdown.
-
-        Fetch items are per-VM chains (searcher then parser on one
-        worker), so the makespan is taken over their sums and the wall
-        time split by each component's share of the CPU work.
-        """
-        factor = self.hv.scheduler.dom0_slowdown(self.hv.guest_demand(),
-                                                 dom0_threads=self.threads)
-        fetch_items = [searcher_work.get(vm, 0.0) + parser_work.get(vm, 0.0)
-                       for vm in searcher_work.keys() | parser_work.keys()]
-        fetch_wall = makespan(fetch_items, self.threads) * factor
-        check_wall = makespan(pair_work, self.threads) * factor
-        self.hv.clock.advance(fetch_wall + check_wall)
-        s_cpu = sum(searcher_work.values())
-        p_cpu = sum(parser_work.values())
-        share = s_cpu / (s_cpu + p_cpu) if s_cpu + p_cpu else 1.0
-        return ComponentTimings(searcher=fetch_wall * share,
-                                parser=fetch_wall * (1.0 - share),
-                                checker=check_wall)
-
-    # -- checking modes -------------------------------------------------------
-
-    def check_on_vm(self, module_name: str, target_vm: str,
-                    vms: list[str] | None = None) -> CheckOutcome:
-        names = self.pool_vm_names(vms)
-        if target_vm not in names:
-            names = [target_vm] + names
-
-        with self.obs.tracer.span("modchecker.check", module=module_name,
-                                  mode="parallel-target", target=target_vm,
-                                  threads=self.threads):
-            with self.obs.tracer.span("modchecker.fetch",
-                                      module=module_name, vms=len(names)):
-                parsed, searcher_work, parser_work, failed = \
-                    self._parallel_fetch(module_name, names)
-            by_vm = {p.vm_name: p for p in parsed}
-            if target_vm in failed:
-                raise RetryExhausted(
-                    f"cannot acquire {module_name!r} from target {target_vm}: "
-                    f"{failed[target_vm]}")
-            if target_vm not in by_vm:
-                raise ModuleNotLoadedError(
-                    f"{module_name!r} not loaded on target {target_vm}")
-            others = [p for p in parsed if p.vm_name != target_vm]
-            if not others:
-                raise InsufficientPool(
-                    f"no other VM exposes {module_name!r} for comparison")
-
-            with self.obs.tracer.span("checker.compare", module=module_name,
-                                      pairs=len(others)):
-                pairs, pair_work = self._compare_deferred(
-                    (by_vm[target_vm], other) for other in others)
-            timings = self._advance_makespan(searcher_work, parser_work,
-                                             pair_work)
-
-        matches = sum(1 for p in pairs if p.matched)
-        report = VMCheckReport(
-            module_name=module_name, target_vm=target_vm,
-            pairs=tuple(pairs), matches=matches, comparisons=len(pairs))
-        per_vm_work = {vm: searcher_work[vm] + parser_work.get(vm, 0.0)
-                       for vm in searcher_work}
-        outcome = CheckOutcome(report=report, timings=timings,
-                               per_vm_searcher=per_vm_work)
-        outcome.parallel = ParallelTimings(   # type: ignore[attr-defined]
-            cpu=ComponentTimings(searcher=sum(searcher_work.values()),
-                                 parser=sum(parser_work.values()),
-                                 checker=sum(pair_work)),
-            wall=timings)
-        self._record_outcome(module_name, timings)
-        return outcome
-
-    def check_pool(self, module_name: str,
-                   vms: list[str] | None = None, *,
-                   mode: str = "pairwise") -> PoolOutcome:
-        """Pool cross-check with the fetches *and* the O(t²) pairwise
-        comparisons packed onto ``threads`` workers.
-
-        Same verdicts and degradation semantics as the sequential
-        :meth:`ModChecker.check_pool`; only the clock model differs.
-        ``mode="canonical"`` keeps its O(t) single-reference pass, which
-        is inherently sequential per module, so only its fetch phase
-        parallelises.
-        """
-        if mode not in ("pairwise", "canonical"):
-            raise ValueError(f"unknown pool mode {mode!r}")
-        names = self.pool_vm_names(vms)
-        with self.obs.tracer.span("modchecker.check", module=module_name,
-                                  mode=f"parallel-{mode}",
-                                  threads=self.threads):
-            with self.obs.tracer.span("modchecker.fetch",
-                                      module=module_name, vms=len(names)):
-                parsed, searcher_work, parser_work, failed = \
-                    self._parallel_fetch(module_name, names)
-            if len(parsed) < 2:
-                degraded_note = (f" ({len(failed)} degraded: "
-                                 f"{', '.join(sorted(failed))})"
-                                 if failed else "")
-                raise InsufficientPool(
-                    f"{module_name!r} present on {len(parsed)} VM(s); "
-                    f"need at least 2{degraded_note}")
-
-            n_pairs = (len(parsed) - 1 if mode == "canonical"
-                       else len(parsed) * (len(parsed) - 1) // 2)
-            with self.obs.tracer.span("checker.compare", module=module_name,
-                                      pairs=n_pairs):
-                if mode == "canonical":
-                    with self.hv.deferred_charges() as acc:
-                        report = self.checker.check_pool_canonical(parsed)
-                    pair_work = [acc.total]
-                else:
-                    pairs, pair_work = self._compare_deferred(
-                        (parsed[i], parsed[j])
-                        for i in range(len(parsed))
-                        for j in range(i + 1, len(parsed)))
-                    report = self.checker.vote(parsed, pairs)
-            timings = self._advance_makespan(searcher_work, parser_work,
-                                             pair_work)
-        report.degraded = dict(failed)
-        if self.incremental:
-            self._update_manifests(module_name, report)
-
-        per_vm_work = {vm: searcher_work[vm] + parser_work.get(vm, 0.0)
-                       for vm in searcher_work}
-        outcome = PoolOutcome(report=report, timings=timings,
-                              per_vm_searcher=per_vm_work)
-        outcome.parallel = ParallelTimings(   # type: ignore[attr-defined]
-            cpu=ComponentTimings(searcher=sum(searcher_work.values()),
-                                 parser=sum(parser_work.values()),
-                                 checker=sum(pair_work)),
-            wall=timings)
-        self._record_outcome(module_name, timings, report)
+    def _finish(self, outcome, work):
+        outcome.parallel = ParallelTimings(
+            cpu=ComponentTimings(searcher=sum(work.searcher.values()),
+                                 parser=sum(work.parser.values()),
+                                 checker=sum(work.pairs)),
+            wall=outcome.timings)
         return outcome

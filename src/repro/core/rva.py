@@ -8,7 +8,7 @@ streams differ it assumes an absolute address starts nearby, computes
 both 4-byte slots with the RVA — restoring base-independent content
 (Fig. 4 of the paper).
 
-Three implementations:
+Two implementations:
 
 ``adjust_rva_faithful``
     The paper's pseudocode, literally: the start-of-address offset is
@@ -28,14 +28,7 @@ Three implementations:
     in the 4-byte window before a difference is tried and accepted iff
     both sides yield the *same, plausible* RVA.
 
-``adjust_rva_vectorized``
-    Same acceptance rule as *robust*, but difference positions come
-    from one numpy comparison over the whole section (guides: vectorise
-    the hot loop) and candidate windows are verified in batches. For
-    clean modules (sparse diffs) this is the fast path the parallel
-    checker uses.
-
-All three return new buffers plus :class:`RvaAdjustStats`; a difference
+Both return new buffers plus :class:`RvaAdjustStats`; a difference
 window no candidate start can explain is counted in ``unresolved`` —
 for clean modules that count is 0, and tampering shows up both as
 ``unresolved`` windows and as a final hash mismatch.
@@ -46,14 +39,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "RvaAdjustStats",
     "first_differing_base_byte",
     "adjust_rva_faithful",
     "adjust_rva_robust",
-    "adjust_rva_vectorized",
     "ADJUSTERS",
 ]
 
@@ -187,44 +177,8 @@ def adjust_rva_robust(data1: bytes, base1: int, data2: bytes, base2: int,
     return bytes(out1), bytes(out2), stats
 
 
-def adjust_rva_vectorized(data1: bytes, base1: int, data2: bytes, base2: int,
-                          *, max_rva: int | None = None,
-                          ) -> tuple[bytes, bytes, RvaAdjustStats]:
-    """Numpy-accelerated variant with the robust acceptance rule.
-
-    One vector compare finds all difference positions; the (sparse)
-    positions are then resolved with the same candidate-window logic.
-    Equivalent output to :func:`adjust_rva_robust` — asserted by a
-    hypothesis property test — at a fraction of the Python-loop cost.
-    """
-    if len(data1) != len(data2):
-        raise ValueError("section copies differ in length")
-    out1, out2 = bytearray(data1), bytearray(data2)
-    stats = RvaAdjustStats()
-    if base1 == base2 or not data1:
-        return bytes(out1), bytes(out2), stats
-    limit = max_rva if max_rva is not None else max(len(data1) * 16, 1 << 20)
-
-    a1 = np.frombuffer(bytes(data1), dtype=np.uint8)
-    a2 = np.frombuffer(bytes(data2), dtype=np.uint8)
-    diffs = np.nonzero(a1 != a2)[0]
-    consumed_until = -1
-    for j in map(int, diffs):
-        if j <= consumed_until:
-            continue
-        stats.windows += 1
-        start = _try_window(out1, out2, j, base1, base2, limit)
-        if start is None:
-            stats.unresolved += 1
-        else:
-            stats.replaced += 1
-            consumed_until = start + 3
-    return bytes(out1), bytes(out2), stats
-
-
 #: Registry used by ModChecker's ``rva_mode`` option and the A3 ablation.
 ADJUSTERS = {
     "faithful": adjust_rva_faithful,
     "robust": adjust_rva_robust,
-    "vectorized": adjust_rva_vectorized,
 }

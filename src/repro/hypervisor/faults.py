@@ -116,7 +116,7 @@ class FaultInjector:
 
     The injector shadows the hypervisor instance's ``read_guest_frame``
     and ``read_guest_physical`` bound methods (the same technique the
-    parallel checker uses for deferred charges), so a plain
+    deferred-charge context uses), so a plain
     :class:`Hypervisor` with no injector installed pays zero overhead.
     """
 

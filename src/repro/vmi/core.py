@@ -140,6 +140,22 @@ class VMIInstance:
         self.v2p_cache.reset_stats()
         self.page_cache.reset_stats()
 
+    def evict_va_range(self, vaddr: int, length: int) -> None:
+        """Drop the cached frames that back a kernel-VA range.
+
+        For content the guest changed behind a warm session. Frames are
+        found through the V2P cache's stats-neutral ``peek`` and removed
+        with the stats-neutral ``pop``, as :meth:`write_va_range` does,
+        so nothing is walked, charged or counted. Every page-cache fill
+        first caches its translation, so a frame stays reachable here
+        unless its translation has since aged out of the (larger) V2P
+        cache.
+        """
+        for page_va in range(vaddr & ~_PAGE_MASK, vaddr + length, PAGE_SIZE):
+            pa = self.v2p_cache.peek(page_va)
+            if pa is not None:
+                self.page_cache.pop(pa >> 12)
+
     # -- translation ------------------------------------------------------------
 
     def translate_kv2p(self, vaddr: int) -> int:

@@ -3,9 +3,12 @@ the read-only ones and keep mutating tests on their own instances."""
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.cloud import build_testbed
+from repro.core import ModChecker, ParallelModChecker
 from repro.guest import build_catalog
 from repro.pe import build_driver
 
@@ -46,6 +49,15 @@ def small_driver():
 def clean_testbed_session():
     """A 5-VM clean cloud shared by read-only tests."""
     return build_testbed(5, seed=SEED)
+
+
+@pytest.fixture(params=["sequential", "parallel"])
+def checker_cls(request):
+    """ModChecker, then ParallelModChecker(threads=4): one check path
+    under both Dom0 scheduling policies, so neither can drift."""
+    if request.param == "sequential":
+        return ModChecker
+    return partial(ParallelModChecker, threads=4)
 
 
 @pytest.fixture

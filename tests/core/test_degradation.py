@@ -47,6 +47,16 @@ class TestPoolDegradation:
         assert sorted(report.verdicts) == ["Dom1", "Dom3", "Dom4"]
         assert report.all_clean
 
+    def test_destroyed_member_is_unreachable_not_fatal(self, checker_cls):
+        tb = build_testbed(5, seed=1)
+        mc = checker_cls(tb.hypervisor, tb.profile)
+        tb.hypervisor.destroy("Dom3")
+        report = mc.check_pool("hal.dll", vms=tb.vm_names).report
+        assert set(report.degraded) == {"Dom3"}
+        assert report.degraded["Dom3"].startswith("unreachable:")
+        assert sorted(report.verdicts) == ["Dom1", "Dom2", "Dom4", "Dom5"]
+        assert report.all_clean
+
     def test_detection_survives_degradation(self):
         # E1 on Dom3 still fires when an unrelated VM drops out.
         scenario = stage_experiment("E1", n_vms=6, victim="Dom3", seed=SEED)

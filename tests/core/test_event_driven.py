@@ -276,6 +276,24 @@ class TestParallelParity:
         assert par.trap_fallbacks == seq.trap_fallbacks
 
 
+class TestWarmCaches:
+    @pytest.mark.parametrize("mode", ["incremental", "event_driven"])
+    def test_page_delta_reacquires_current_bytes(self, catalog, mode):
+        # Regression: with caches kept warm across rounds, the sweep or
+        # trap saw the patch and dropped the manifest, but the full
+        # re-acquisition read the pre-tamper pages back out of the
+        # page cache and committed them as clean.
+        tb = build_testbed(8, seed=42)
+        mc = ModChecker(tb.hypervisor, tb.profile,
+                        flush_caches_each_round=False, **{mode: True})
+        assert mc.check_pool(MODULE).report.all_clean
+        RuntimeCodePatchAttack(offset_in_text=0x40).apply(
+            tb.hypervisor.domain("Dom5").kernel, catalog[MODULE])
+        for _ in range(3):
+            assert mc.check_pool(MODULE).report.flagged() == ["Dom5"]
+        assert mc.manifests.stats.invalidations["page-delta"] == 1
+
+
 class TestObservability:
     def test_trap_events_emitted(self, clean_testbed):
         tb = clean_testbed

@@ -24,9 +24,9 @@ SEED = 42
 VICTIM = "Dom2"
 
 
-def make_checker(tb, policy="repair", attempts=3, **kwargs):
-    return ModChecker(tb.hypervisor, tb.profile, repair_policy=policy,
-                      repair_max_attempts=attempts, **kwargs)
+def make_checker(tb, policy="repair", attempts=3, cls=ModChecker, **kwargs):
+    return cls(tb.hypervisor, tb.profile, repair_policy=policy,
+               repair_max_attempts=attempts, **kwargs)
 
 
 def infect(tb, hal_blueprint, vm=VICTIM, attack=None):
@@ -57,9 +57,9 @@ class TestPolicies:
 
 class TestVerifiedRepair:
     def test_tamper_is_repaired_and_reverified(self, clean_testbed,
-                                               hal_blueprint):
+                                               hal_blueprint, checker_cls):
         result = infect(clean_testbed, hal_blueprint)
-        mc = make_checker(clean_testbed)
+        mc = make_checker(clean_testbed, cls=checker_cls)
         out = mc.check_pool("hal.dll")
         assert out.report.flagged() == [VICTIM]
         (rec,) = out.remediations

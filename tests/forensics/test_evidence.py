@@ -121,6 +121,27 @@ class TestWiredThroughModChecker:
         assert rec.last.flagged == [VICTIM]
         assert rec.last.unexplained_hunks >= 1
 
+    def test_flagged_check_is_audited_and_captured(self, checker_cls):
+        from repro.obs import make_observability
+        attack, module = attack_for_experiment("E1")
+        result = attack.apply(build_catalog(seed=42)[module])
+        tb = build_testbed(4, seed=42,
+                           infected={VICTIM: {module: result.infected}})
+        obs = make_observability(tb.clock)
+        rec = EvidenceRecorder()
+        mc = checker_cls(tb.hypervisor, tb.profile, obs=obs, evidence=rec)
+        assert mc.check_pool(module).report.flagged() == [VICTIM]
+        (start,) = obs.events.by_name("check.start")
+        (verdict,) = obs.events.by_name("check.verdict")
+        acquired = obs.events.by_name("module.acquired")
+        assert len(acquired) == len(tb.vm_names)
+        assert start.check_id
+        assert {e.check_id for e in [start, verdict, *acquired]} == \
+            {start.check_id}
+        assert verdict.attrs["flagged"] == [VICTIM]
+        assert rec.captures == 1
+        assert rec.last.flagged == [VICTIM]
+
     def test_evidence_counter_published_with_live_metrics(self):
         from repro.obs import make_observability
         attack, module = attack_for_experiment("E1")

@@ -22,7 +22,7 @@ import random
 
 import pytest
 
-from repro.core.rva import adjust_rva_robust, adjust_rva_vectorized
+from repro.core.rva import adjust_rva_robust
 from repro.pe import constants as C
 from repro.pe.builder import ImportSpec, build_driver
 from repro.pe.parser import PEImage, map_file_to_memory
@@ -155,21 +155,6 @@ class TestBaseIndependence:
         assert out_a == out_b
         assert stats.unresolved == 0
         assert stats.replaced > 0
-
-    def test_vectorized_adjuster_agrees(self, case):
-        params, bp = case
-        base_a = bp.image_base + 0x40_0000
-        base_b = bp.image_base + 0x73_000 * 0x10
-        img_a, img_b = _load_at(bp, base_a), _load_at(bp, base_b)
-        text = bp.section(".text")
-        sl = slice(text.virtual_address,
-                   text.virtual_address + text.virtual_size)
-        robust = adjust_rva_robust(img_a[sl], base_a, img_b[sl], base_b,
-                                   max_rva=bp.size_of_image)
-        vector = adjust_rva_vectorized(img_a[sl], base_a, img_b[sl],
-                                       base_b, max_rva=bp.size_of_image)
-        assert robust[0] == vector[0]
-        assert robust[1] == vector[1]
 
     def test_same_base_is_identity(self, case):
         _, bp = case

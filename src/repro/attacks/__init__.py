@@ -12,7 +12,8 @@ from .headers import (EntryPointRedirectAttack, SectionCharacteristicsAttack,
 from .inline_hook import DEFAULT_PAYLOAD, InlineHookAttack
 from .memory import (IATHookAttack, LdrBlindingAttack, LdrDecoyAttack,
                      MemoryAttack, MemoryInfectionResult,
-                     RacingWriterAttack, RuntimeCodePatchAttack)
+                     RacingWriterAttack, RelocSlotRedirectAttack,
+                     RuntimeCodePatchAttack)
 from .opcode import OpcodeReplacementAttack, SUB_ECX_1
 from .registry import (ATTACKS, EXPERIMENTS, attack_for_experiment,
                        make_attack, register_attack)
@@ -25,7 +26,8 @@ __all__ = [
     "TimestampForgeryAttack",
     "DEFAULT_PAYLOAD", "InlineHookAttack",
     "IATHookAttack", "LdrBlindingAttack", "LdrDecoyAttack", "MemoryAttack",
-    "MemoryInfectionResult", "RacingWriterAttack", "RuntimeCodePatchAttack",
+    "MemoryInfectionResult", "RacingWriterAttack", "RelocSlotRedirectAttack",
+    "RuntimeCodePatchAttack",
     "OpcodeReplacementAttack", "SUB_ECX_1",
     "ATTACKS", "EXPERIMENTS", "attack_for_experiment", "make_attack",
     "register_attack",

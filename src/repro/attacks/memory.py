@@ -20,7 +20,7 @@ from ..pe.builder import DriverBlueprint
 
 __all__ = ["MemoryInfectionResult", "MemoryAttack", "IATHookAttack",
            "LdrBlindingAttack", "LdrDecoyAttack", "RacingWriterAttack",
-           "RuntimeCodePatchAttack"]
+           "RelocSlotRedirectAttack", "RuntimeCodePatchAttack"]
 
 
 @dataclass
@@ -172,6 +172,45 @@ class RuntimeCodePatchAttack(MemoryAttack):
             expected_regions=(".text",),
             details={"va": va, "original": original.hex(),
                      "patch": self.patch.hex()})
+
+
+class RelocSlotRedirectAttack(MemoryAttack):
+    """Redirect the first absolute-address relocation slot in ``.text``.
+
+    The loader rebased the slot to ``base + target_rva``; the implant
+    adds ``delta`` so the instruction reaches code of the attacker's
+    choosing — a short hop (``0x100``) stays inside the image, a long
+    one (``0x7000000``) leaves it. The tamper sits exactly on the bytes
+    RVA normalisation rewrites, so it probes whether the vote still
+    separates a rebased slot from a redirected one — including on the
+    VM a canonical vote starts from as its reference.
+    """
+
+    name = "reloc-slot-redirect"
+
+    def __init__(self, delta: int = 0x100) -> None:
+        self.delta = delta
+
+    def apply(self, kernel: GuestKernel, blueprint: DriverBlueprint,
+              ) -> MemoryInfectionResult:
+        module = kernel.module(blueprint.name)
+        text = blueprint.section(".text")
+        end = text.virtual_address + text.virtual_size
+        slots = [rva for rva in blueprint.fixup_rvas
+                 if text.virtual_address <= rva and rva + 4 <= end]
+        if not slots:
+            raise AttackError(f"{blueprint.name} has no .text relocation")
+        va = module.base + slots[0]
+        original = struct.unpack("<I", kernel.aspace.read(va, 4))[0]
+        redirected = (original + self.delta) & 0xFFFFFFFF
+        kernel.aspace.write(va, struct.pack("<I", redirected))
+        return MemoryInfectionResult(
+            attack_name=self.name, vm_name=kernel.name,
+            module_name=blueprint.name,
+            modified_vas=tuple(range(va, va + 4)),
+            expected_regions=(".text",),
+            details={"va": va, "original": original,
+                     "redirected_to": redirected})
 
 
 class RacingWriterAttack(RuntimeCodePatchAttack):

@@ -146,7 +146,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--pool-mode", default="pairwise",
                          choices=["pairwise", "canonical"],
                          help="pairwise = paper's O(t^2) vote; canonical "
-                              "= O(t) fingerprint clustering")
+                              "= O(t) star of pair comparisons around a "
+                              "reference chosen by agreement")
 
     p_sweep = sub.add_parser("sweep", help="check every loaded module")
     add_common(p_sweep)

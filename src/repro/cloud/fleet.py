@@ -183,7 +183,6 @@ class Fleet:
                  chaos=None,
                  obs: Observability = NULL_OBS,
                  per_cycle_modules: int = 1,
-                 pool_mode: str = "canonical",
                  checker_kwargs: dict | None = None,
                  slo=None) -> None:
         if shard_size < 1:
@@ -206,9 +205,6 @@ class Fleet:
         self.chaos = chaos
         self.obs = obs
         self.per_cycle_modules = per_cycle_modules
-        #: canonical (O(t) clustering) by default: a pairwise vote over
-        #: a 64-member shard costs 2k comparisons for the same verdict
-        self.pool_mode = pool_mode
         #: extra kwargs for every shard's ModChecker (event_driven=...,
         #: retry=..., flush_caches_each_round=..., ...)
         self.checker_kwargs = dict(checker_kwargs or {})
@@ -272,7 +268,9 @@ class Fleet:
             scope=shard.member_names,
             lender=(lambda needed, exclude, shard=shard:
                     self.borrow_references(shard, needed, exclude)),
-            advance_clock=False, pool_mode=self.pool_mode)
+            # canonical: a pairwise vote over a 64-member shard costs
+            # 2k comparisons, a star around an agreeing reference 63
+            advance_clock=False, pool_mode="canonical")
         self.shards[name] = shard
         self._note_shard_event("created", shard)
         return shard

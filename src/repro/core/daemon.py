@@ -224,7 +224,7 @@ class CheckDaemon:
         #: once for many concurrent shards
         self.advance_clock = advance_clock
         #: "pairwise" (the paper's O(t^2) vote) or "canonical" (the
-        #: O(t) clustering vote — what a large fleet shard wants)
+        #: O(t) star vote — what a large fleet shard wants)
         self.pool_mode = pool_mode
         #: optional :class:`~repro.obs.slo.SloEngine`: when set, every
         #: cycle feeds cycle latency / detection latency / MTTR /

@@ -135,114 +135,70 @@ class IntegrityChecker:
             module_name=target.module_name, target_vm=target.vm_name,
             pairs=pairs, matches=matches, comparisons=len(pairs))
 
-    def check_pool_canonical(self, modules: list[ParsedModule]) -> PoolReport:
-        """O(t) pool check via canonicalisation (vs O(t²) pairwise).
+    def check_pool_canonical(
+            self, modules: list[ParsedModule],
+            compare: Callable[[ParsedModule, ParsedModule],
+                              PairComparison] | None = None) -> PoolReport:
+        """O(t) pool check: a star of pair comparisons around a reference.
 
-        The paper's checker compares every pair. But RVA adjustment of
-        a *clean* copy always yields the same base-independent bytes,
-        so one pass suffices: adjust every VM against a single
-        reference, digest the adjusted regions, and cluster the digest
-        vectors — the majority cluster is clean, everyone else is
-        flagged. Equivalent verdicts to :meth:`check_pool` whenever a
-        strict majority of copies is pristine (the regime the paper's
-        vote needs anyway); the A6 ablation measures the speedup.
+        RVA adjustment maps every clean copy to the same base-independent
+        bytes, so one star usually settles the vote: compare each copy
+        with a reference (via ``compare``, default :meth:`compare_pair`).
+        If the reference and the copies matching it are a strict
+        majority of all ``t``, they are clean, and every other VM is
+        flagged with the regions of its pair with the reference.
+        Otherwise the next VM no star has claimed becomes the
+        reference, and its star reaches only VMs still unclaimed, until
+        those can no longer form a majority and every VM is flagged.
+        Matching is taken as an equivalence among copies (clean copies
+        normalise to the same bytes), so a claimed VM never matches a
+        later reference and skipping it loses no vote. Each pair is
+        compared once, so a tampered reference costs one more star and
+        the worst case stays within the C(t,2) comparisons of
+        :meth:`check_pool`.
 
-        Synthesised ``PairComparison`` records cover reference↔VM pairs
-        only (that is all this mode computes).
-
-        Base collisions: RVA adjustment is driven by byte *differences*,
-        so a VM that happens to share the reference's load base would
-        come back untouched — raw relocated bytes whose digests can
-        never match the RVA-normalised majority (a guaranteed false
-        positive once pools are large enough for slide collisions).
-        Such VMs are adjusted against a *partner* instead: the first
-        pool member whose base differs. A clean copy reaches the same
-        canonical bytes either way; only when every copy shares one
-        base is no adjustment possible, and then raw digests cluster
-        correctly on their own.
+        The rule differs from :meth:`vote` (matches with more than
+        ``(t-1)/2`` others) only for odd ``t`` with exactly ``(t+1)/2``
+        copies agreeing: canonical clears them, pairwise flags all.
         """
-        if not modules:
-            return PoolReport(module_name="", vm_names=[], pairs=[],
-                              verdicts={})
-        reference = modules[0]
-        partner = next((m for m in modules[1:] if m.base != reference.base),
-                       None)
-        names = [m.vm_name for m in modules]
-
-        def region_vector(mod: ParsedModule, adjusted: dict[str, bytes],
-                          ) -> tuple:
-            items = []
-            for region in mod.header_regions:
-                items.append((region.name,
-                              self.digest(mod.region_bytes(region))))
-            for region in mod.code_regions:
-                data = adjusted.get(region.name,
-                                    mod.region_bytes(region))
-                items.append((region.name, self.digest(data)))
-            return tuple(sorted(items))
-
-        vectors: dict[str, tuple] = {}
-        pairs: list[PairComparison] = []
-        ref_adjusted: dict[str, bytes] = {}
-        for mod in modules[1:]:
-            counterpart = (reference if mod.base != reference.base
-                           else partner)
-            adjusted: dict[str, bytes] = {}
-            cost = self.costs.compare_per_pair
-            code_ref = ({r.name: r for r in counterpart.code_regions}
-                        if counterpart is not None else {})
-            for region in mod.code_regions:
-                ref_region = code_ref.get(region.name)
-                if ref_region is None:
-                    continue
-                data_ref = counterpart.region_bytes(ref_region)
-                data_mod = mod.region_bytes(region)
-                if len(data_ref) != len(data_mod):
-                    continue
-                adj_ref, adj_mod, _stats = self._adjust(
-                    data_ref, counterpart.base, data_mod, mod.base,
-                    max_rva=max(len(counterpart.image), len(mod.image)))
-                adjusted[region.name] = adj_mod
-                if counterpart is reference:
-                    ref_adjusted.setdefault(region.name, adj_ref)
-                cost += 2 * len(data_mod) * (self.costs.rva_scan_per_byte
-                                             + self.costs.hash_per_byte)
-            self._charge(cost)
-            vectors[mod.vm_name] = region_vector(mod, adjusted)
-        vectors[reference.vm_name] = region_vector(reference, ref_adjusted)
-
-        # Cluster by digest vector; majority cluster is clean.
-        clusters: dict[tuple, list[str]] = {}
-        for vm, vector in vectors.items():
-            clusters.setdefault(vector, []).append(vm)
-        majority = max(clusters.values(), key=len)
+        compare = compare or self.compare_pair
         t = len(modules)
-        clean = {vm: (vm in majority and len(majority) > t / 2)
-                 for vm in names}
+        done: dict[tuple[int, int], PairComparison] = {}
+
+        def pair(i: int, j: int) -> PairComparison:
+            i, j = min(i, j), max(i, j)           # the pairwise order
+            if (i, j) not in done:
+                done[i, j] = compare(modules[i], modules[j])
+            return done[i, j]
+
+        claimed: dict[int, set[int]] = {}     # VM -> the star it joined
+        majority: set[int] = set()
+        ref = None
+        for r in range(t):
+            if r in claimed:
+                continue
+            if t - len(claimed) <= t / 2:
+                break
+            cluster = {r} | {j for j in range(r + 1, t)
+                             if j not in claimed and pair(r, j).matched}
+            for j in cluster:
+                claimed[j] = cluster
+            if len(cluster) > t / 2:
+                majority, ref = cluster, r
+                break
 
         verdicts: dict[str, VMVerdict] = {}
-        for vm in names:
-            same = len(clusters[vectors[vm]]) - 1
-            regions: tuple[str, ...] = ()
-            if not clean[vm] and majority:
-                ref_vec = dict(vectors[majority[0]])
-                own = dict(vectors[vm])
-                diff = [k for k in (own.keys() | ref_vec.keys())
-                        if own.get(k) != ref_vec.get(k)]
-                regions = tuple(sorted(diff))
-            verdicts[vm] = VMVerdict(vm_name=vm, matches=same,
-                                     comparisons=t - 1, clean=clean[vm],
-                                     mismatched_regions=regions)
-        for mod in modules[1:]:
-            a, b = vectors[reference.vm_name], vectors[mod.vm_name]
-            mism = tuple(sorted(
-                k for k in (dict(a).keys() | dict(b).keys())
-                if dict(a).get(k) != dict(b).get(k)))
-            pair = PairComparison(reference.vm_name, mod.vm_name, mism)
-            pairs.append(pair)
-            self.announce(reference.module_name, pair)
-        return PoolReport(module_name=reference.module_name,
-                          vm_names=names, pairs=pairs, verdicts=verdicts)
+        for i, mod in enumerate(modules):
+            clean = i in majority
+            verdicts[mod.vm_name] = VMVerdict(
+                vm_name=mod.vm_name, comparisons=t - 1, clean=clean,
+                matches=len(majority if clean else claimed.get(i, {i})) - 1,
+                mismatched_regions=(pair(ref, i).mismatched_regions
+                                    if ref is not None and not clean
+                                    else ()))
+        return PoolReport(module_name=modules[0].module_name if modules else "",
+                          vm_names=[m.vm_name for m in modules],
+                          pairs=list(done.values()), verdicts=verdicts)
 
     def check_pool(self, modules: list[ParsedModule]) -> PoolReport:
         """Full cross-check: every pair once, then per-VM majority votes."""

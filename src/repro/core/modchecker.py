@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from ..errors import (DomainNotFound, InsufficientPool, IntrospectionFault,
@@ -46,6 +47,9 @@ if TYPE_CHECKING:
     from ..forensics.evidence import EvidenceRecorder
 
 __all__ = ["ModChecker", "CheckOutcome", "PoolOutcome", "FetchResult"]
+
+#: (vm, module) manifests one checker keeps before LRU eviction
+MANIFEST_CAPACITY = 1024
 
 
 def _page_digests(image: bytes) -> tuple[bytes, ...]:
@@ -126,7 +130,7 @@ class _Protection:
 class _Work:
     """The Dom0 work of one check, cut into schedulable items: per-VM
     searcher and parser costs (one chain per VM), one cost per compared
-    pair (or per canonical pass), and the compare phase's total."""
+    pair, and the compare phase's total."""
 
     searcher: dict[str, float] = field(default_factory=dict)
     parser: dict[str, float] = field(default_factory=dict)
@@ -246,7 +250,6 @@ class ModChecker:
                  evidence: "EvidenceRecorder | None" = None,
                  incremental: bool = False,
                  recheck_ttl: float | None = None,
-                 manifest_capacity: int = 1024,
                  event_driven: bool = False,
                  paranoia_every: int | None = 64,
                  repair_policy: str = "detect-only",
@@ -302,7 +305,7 @@ class ModChecker:
         self.trap_pages_checked = 0
         self.trap_fallbacks: dict[str, int] = {}
         self.recheck_ttl = recheck_ttl
-        self.manifests = ManifestStore(manifest_capacity, ttl=recheck_ttl)
+        self.manifests = ManifestStore(MANIFEST_CAPACITY, ttl=recheck_ttl)
         #: (module, vm_a, vm_b) -> (key_a, key_b, PairComparison);
         #: replayed only when both content keys still match, so a
         #: stale pair is unreachable rather than merely evicted
@@ -952,20 +955,23 @@ class ModChecker:
             work.timings = self._schedule.settle(work)
 
     @contextmanager
-    def _compare_phase(self, work: _Work, module_name: str, pairs: int):
+    def _compare_phase(self, work: _Work, module_name: str):
         """The ``checker.compare`` phase. Yields ``item(fn, *args)``,
         which runs one schedulable unit of compare work and records
-        its cost."""
-        with self.obs.tracer.span("checker.compare", module=module_name,
-                                  pairs=pairs), \
+        its cost; the span's ``pairs`` counts the items run."""
+        with self.obs.tracer.span("checker.compare",
+                                  module=module_name) as span, \
              self._schedule.phase() as now:
             def item(fn, *args):
                 before = now()
                 result = fn(*args)
                 work.pairs.append(now() - before)
                 return result
-            start = now()
-            yield item
+            start, first = now(), len(work.pairs)
+            try:
+                yield item
+            finally:
+                span.set(pairs=len(work.pairs) - first)
             work.compare = now() - start
 
     def _check_attrs(self, mode: str) -> dict:
@@ -1084,8 +1090,7 @@ class ModChecker:
                 if not others:
                     raise InsufficientPool(
                         f"no other VM exposes {module_name!r} for comparison")
-                with self._compare_phase(work, module_name,
-                                         len(others)) as item:
+                with self._compare_phase(work, module_name) as item:
                     pairs = tuple(item(self._compare_or_replay,
                                        by_vm[target_vm], other)
                                   for other in others)
@@ -1109,7 +1114,8 @@ class ModChecker:
 
         ``mode="pairwise"`` is the paper's O(t²) all-pairs vote, each
         pair replayed from cache when its content keys allow;
-        ``mode="canonical"`` is the O(t) clustering variant
+        ``mode="canonical"`` is the O(t) star of the same comparisons
+        around a reference chosen by agreement
         (:meth:`IntegrityChecker.check_pool_canonical`).
 
         VMs whose introspection keeps failing after the retry budget
@@ -1139,16 +1145,13 @@ class ModChecker:
                     raise InsufficientPool(
                         f"{module_name!r} present on {len(parsed)} VM(s); "
                         f"need at least 2{degraded_note}")
-                n_pairs = (len(parsed) - 1 if mode == "canonical"
-                           else len(parsed) * (len(parsed) - 1) // 2)
-                with self._compare_phase(work, module_name,
-                                         n_pairs) as item:
+                with self._compare_phase(work, module_name) as item:
+                    compare = partial(item, self._compare_or_replay)
                     if mode == "canonical":
-                        # one pass against one reference: a single item
-                        report = item(self.checker.check_pool_canonical,
-                                      parsed)
+                        report = self.checker.check_pool_canonical(parsed,
+                                                                   compare)
                     else:
-                        pairs = [item(self._compare_or_replay, mod_a, mod_b)
+                        pairs = [compare(mod_a, mod_b)
                                  for i, mod_a in enumerate(parsed)
                                  for mod_b in parsed[i + 1:]]
                         report = self.checker.vote(parsed, pairs)

@@ -265,12 +265,13 @@ def run_a2() -> None:
 
 def run_a3() -> None:
     import time
-    from benchmarks.test_ablation_rva import BASE1, BASE2, N_SLOTS, _big_pair
+    from benchmarks.test_ablation_rva import (BASE1, BASE2, N_SLOTS,
+                                              VARIANTS, _big_pair)
     print("\n=== A3: Algorithm 2 implementation ablation "
           f"(256 KiB section, {N_SLOTS} fixups) ===")
     canonical, c1, c2 = _big_pair()
     rows = []
-    for mode, fn in ADJUSTERS.items():
+    for mode, fn in VARIANTS.items():
         t0 = time.perf_counter()
         adj1, adj2, stats = fn(c1, BASE1, c2, BASE2)
         dt = time.perf_counter() - t0

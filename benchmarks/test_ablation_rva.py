@@ -1,9 +1,11 @@
 """A3 — Algorithm 2 implementation ablation.
 
-Compares the three RVA-adjustment implementations on identical inputs:
-(a) real wall-clock cost on a large relocated section (pytest-benchmark),
-(b) output equivalence, and (c) behaviour of the faithful variant's
-precondition (identical bases → it refuses to adjust).
+Compares the two RVA adjusters (``faithful``, the paper's pseudocode;
+``robust``, the window scan) and the byte-scan reference
+``adjust_rva_scan`` on identical inputs: (a) real wall-clock cost on a
+large relocated section (pytest-benchmark), (b) output equivalence, and
+(c) behaviour of the faithful variant's precondition (identical bases →
+it refuses to adjust).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import struct
 
 import pytest
 
-from repro.core.rva import ADJUSTERS, adjust_rva_faithful
+from repro.core.rva import ADJUSTERS, adjust_rva_faithful, adjust_rva_scan
 from repro.rng import make_rng
 
 BASE1, BASE2 = 0xF7010000, 0xF70B5000
@@ -39,10 +41,13 @@ def _big_pair():
 PAIR = _big_pair()
 
 
-@pytest.mark.parametrize("mode", sorted(ADJUSTERS))
+VARIANTS = {**ADJUSTERS, "scan": adjust_rva_scan}
+
+
+@pytest.mark.parametrize("mode", sorted(VARIANTS))
 def test_adjuster_wall_clock(benchmark, mode):
     canonical, c1, c2 = PAIR
-    fn = ADJUSTERS[mode]
+    fn = VARIANTS[mode]
     adj1, adj2, stats = benchmark(lambda: fn(c1, BASE1, c2, BASE2))
     assert adj1 == adj2 == canonical
     assert stats.replaced == N_SLOTS
@@ -52,11 +57,12 @@ def test_adjuster_wall_clock(benchmark, mode):
 def test_all_variants_equivalent_on_driver_pair():
     canonical, c1, c2 = PAIR
     outputs = {mode: fn(c1, BASE1, c2, BASE2)
-               for mode, fn in ADJUSTERS.items()}
-    reference = outputs["robust"]
+               for mode, fn in VARIANTS.items()}
+    reference = outputs["scan"]
     for mode, out in outputs.items():
-        assert out[0] == reference[0], mode
-        assert out[1] == reference[1], mode
+        assert out[0] == reference[0] == canonical, mode
+        assert out[1] == reference[1] == canonical, mode
+    assert outputs["robust"][2] == reference[2]
 
 
 def test_faithful_gives_up_on_identical_bases():

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import ModChecker, ModuleSearcher
+from repro.core.rva import adjust_rva_robust, adjust_rva_scan
 from repro.guest import GuestKernel, build_catalog
 from repro.hypervisor import Hypervisor
 from repro.pe import build_driver, map_file_to_memory
@@ -115,3 +116,35 @@ def test_bench_pool_check_scales(benchmark, tb15):
     mc = ModChecker(tb15.hypervisor, tb15.profile)
     out = benchmark(lambda: mc.check_pool("http.sys"))
     assert out.report.all_clean
+
+
+@pytest.fixture(scope="module")
+def rva_pairs(tb15):
+    """Every code-region pair one 15-VM ``http.sys`` pool check adjusts."""
+    mc = ModChecker(tb15.hypervisor, tb15.profile)
+    parsed, *_ = mc.fetch_modules("http.sys", tb15.vm_names)
+    return [(a.region_bytes(ra), a.base, b.region_bytes(rb), b.base,
+             max(len(a.image), len(b.image)))
+            for i, a in enumerate(parsed) for b in parsed[i + 1:]
+            for ra, rb in zip(a.code_regions, b.code_regions)]
+
+
+def _adjust_all(adjust, pairs) -> int:
+    return sum(adjust(d1, b1, d2, b2, max_rva=limit)[2].replaced
+               for d1, b1, d2, b2, limit in pairs)
+
+
+def test_bench_rva_scan_reference(benchmark, rva_pairs):
+    """Algorithm 2 as a loop over every byte of the pool's region pairs.
+
+    Paired with :func:`test_bench_rva_robust`: the ``rva-window-scan``
+    wall-clock tier gates the ratio of the two means.
+    """
+    replaced = benchmark(_adjust_all, adjust_rva_scan, rva_pairs)
+    assert replaced > 0
+
+
+def test_bench_rva_robust(benchmark, rva_pairs):
+    """The window scan over the same pairs: the checker's adjuster."""
+    replaced = benchmark(_adjust_all, adjust_rva_robust, rva_pairs)
+    assert replaced == _adjust_all(adjust_rva_scan, rva_pairs)

@@ -75,9 +75,12 @@ class IntegrityChecker:
         rva_stats: dict[str, RvaAdjustStats] = {}
         cost = self.costs.compare_per_pair
 
+        # Dict union walks mod_a's regions in order, then those only
+        # mod_b has, in its order. A key-set union would follow string
+        # hashing (PYTHONHASHSEED), and so would the float cost sum.
         regions_a = {r.name: r for r in mod_a.header_regions}
         regions_b = {r.name: r for r in mod_b.header_regions}
-        for name in regions_a.keys() | regions_b.keys():
+        for name in regions_a | regions_b:
             ra, rb = regions_a.get(name), regions_b.get(name)
             if ra is None or rb is None:
                 mismatched.append(name)      # structural divergence
@@ -89,7 +92,7 @@ class IntegrityChecker:
 
         code_a = {r.name: r for r in mod_a.code_regions}
         code_b = {r.name: r for r in mod_b.code_regions}
-        for name in code_a.keys() | code_b.keys():
+        for name in code_a | code_b:
             ra, rb = code_a.get(name), code_b.get(name)
             if ra is None or rb is None:
                 mismatched.append(name)

@@ -17,11 +17,13 @@ every difference window:
 * **structural** — the region exists on only one side, or the two
   copies disagree on its size (e.g. an injected section).
 
-The scan mirrors :func:`repro.core.rva.adjust_rva_robust` exactly
-(candidate windows, rewrite-then-continue), so a clean pair at
-different bases yields *zero* tamper hunks — the invariant the
-clean-pool acceptance test pins down — and the per-region
-:class:`~repro.core.rva.RvaAdjustStats` agree with what the checker saw.
+The scan mirrors the acceptance rule of the reference byte scan,
+:func:`repro.core.rva.adjust_rva_scan`, exactly (candidate windows,
+rewrite-then-continue), and the checker's ``robust`` window scan is
+held to that reference. So a clean pair at different bases yields
+*zero* tamper hunks — the invariant the clean-pool acceptance test pins
+down — and the per-region :class:`~repro.core.rva.RvaAdjustStats` agree
+with what the checker saw.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def _try_slot(out_s: bytearray, out_r: bytearray, j: int, base_s: int,
     """Robust-rule candidate search around difference position ``j``.
 
     Returns ``(slot_start, rva)`` and rewrites both buffers to the RVA
-    (exactly like the robust adjuster, so later scans see adjusted
+    (exactly like the reference scan, so later candidates see adjusted
     content), or ``None`` when no candidate explains the difference.
     """
     n = len(out_s)

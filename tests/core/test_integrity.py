@@ -1,5 +1,11 @@
 """Unit tests for the Integrity-Checker (pairing + majority votes)."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.integrity import IntegrityChecker, md5_hex
@@ -93,6 +99,42 @@ class TestPairComparison:
         charges = []
         IntegrityChecker(charge=charges.append).compare_pair(*clean_pair)
         assert charges and charges[0] > 0
+
+
+#: One ParallelModChecker pool check whose simulated clock used to
+#: follow the order of a set of region names, and so PYTHONHASHSEED
+#: (under seeds 3 and 4 the last bit differed from 0, 1, 2 and 5).
+_HASH_SEED_PROBE = """
+from repro.cloud import build_testbed
+from repro.core import ParallelModChecker
+tb = build_testbed(8, seed=1)
+ParallelModChecker(tb.hypervisor, tb.profile, threads=4).check_pool("ndis.sys")
+print(repr(tb.clock.now))
+"""
+
+
+class TestRegionOrder:
+    def test_regions_only_b_has_keep_b_order(self, clean_pair):
+        a, b = clean_pair
+        extra = [dataclasses.replace(b.header_regions[0], name=f"EXTRA[{i}]")
+                 for i in (3, 1, 2, 0)]
+        b_more = dataclasses.replace(
+            b, header_regions=b.header_regions + extra)
+        result = IntegrityChecker().compare_pair(a, b_more)
+        assert result.mismatched_regions == tuple(r.name for r in extra)
+
+    def test_simulated_clock_independent_of_hash_seed(self):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", _HASH_SEED_PROBE],
+            stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed),
+                 "PYTHONPATH": src})
+            for seed in (0, 3, 5)]
+        clocks = {proc.communicate(timeout=120)[0].strip()
+                  for proc in procs}
+        assert all(proc.returncode == 0 for proc in procs)
+        assert len(clocks) == 1, clocks
 
 
 class TestTargetCheck:
